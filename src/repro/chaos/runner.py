@@ -57,18 +57,25 @@ class ChaosOutcome:
         return not self.violations
 
 
-def build_trace(scenario: Scenario) -> Trace:
+def _base_trace(scenario: Scenario) -> Trace:
+    """The scenario's preset synthesis, before any workload item."""
+    return synthesize(
+        scenario.trace, num_requests=scenario.requests, seed=scenario.seed
+    )
+
+
+def build_trace(scenario: Scenario, base: Optional[Trace] = None) -> Trace:
     """The workload for a scenario: preset synthesis, then every
     workload-perturbation item (flash/ramp/churn) applied in plan order.
 
-    The flash rewrite keeps ``scenario.seed`` (stored scenarios from
-    before ramp/churn existed must replay byte-identically); ramp and
-    churn derive per-item seeds from the plan position so two items of
-    the same kind would not share randomness.
+    ``base`` is the already-synthesized :func:`_base_trace`, if the caller
+    has one; the item rewrites never modify their input, so it stays
+    reusable.  The flash rewrite keeps ``scenario.seed`` (stored
+    scenarios from before ramp/churn existed must replay
+    byte-identically); ramp and churn derive per-item seeds from the plan
+    position so two items of the same kind would not share randomness.
     """
-    trace = synthesize(
-        scenario.trace, num_requests=scenario.requests, seed=scenario.seed
-    )
+    trace = base if base is not None else _base_trace(scenario)
     for position, item in enumerate(scenario.workload_items()):
         if item.kind == "flash":
             trace = flash_crowd_trace(
@@ -141,6 +148,7 @@ def _baseline_times(
     scenario: Scenario,
     oracle: ChaosOracle,
     sanitize: Optional[bool],
+    base: Trace,
 ) -> Optional[List[float]]:
     """Completion timestamps of the counterfactual no-perturbation run.
 
@@ -149,17 +157,15 @@ def _baseline_times(
     base, faults, and retries, so the only tail-rate difference the two
     runs can show is damage the perturbation left behind.  Skipped (and
     the metastable check with it) when the scenario carries no workload
-    items or the check is disabled.
+    items or the check is disabled.  ``base`` is the scenario's
+    :func:`_base_trace`, shared with the perturbed run.
     """
     if not scenario.workload_items():
         return None
     if oracle.config.metastable_ratio <= 0.0:
         return None
-    trace = synthesize(
-        scenario.trace, num_requests=scenario.requests, seed=scenario.seed
-    )
     sim = Simulation(
-        trace,
+        base,
         build_policy(scenario),
         ClusterConfig(
             nodes=scenario.nodes,
@@ -188,7 +194,9 @@ def run_scenario(
     sanitize: Optional[bool] = None,
 ) -> ChaosOutcome:
     """Execute one scenario under the full oracle catalog."""
-    trace = build_trace(scenario)
+    # One synthesis serves both the perturbed run and its baseline.
+    base = _base_trace(scenario)
+    trace = build_trace(scenario, base)
     config = ClusterConfig(
         nodes=scenario.nodes,
         cache_bytes=scenario.cache_mb * MB,
@@ -218,7 +226,7 @@ def run_scenario(
     except RuntimeError as exc:
         early = str(exc)
     violations = oracle.finish(
-        early, baseline_times=_baseline_times(scenario, oracle, sanitize)
+        early, baseline_times=_baseline_times(scenario, oracle, sanitize, base)
     )
     generated = max(1, sim._next)
     return ChaosOutcome(

@@ -11,7 +11,12 @@ Two forms mirror the interconnect's two delivery paths:
 * :meth:`ReliableMessenger.request_gen` — a generator the caller drives
   inline (``yield from``); the caller resumes once a transmission has
   been acknowledged, or after retries exhaust.  Used for hand-offs, the
-  LARD-NG query/reply pair, and DFS fetch legs.
+  LARD-NG query/reply pair, and DFS fetch legs on the generator
+  lifecycle.
+* :meth:`ReliableMessenger.request_cb` — the same stop-and-wait exchange
+  as a callback chain, charge for charge: ``done(True)`` at the ack,
+  ``done(False)`` once retries exhaust.  The callback-chain request
+  lifecycle drives hand-offs and LARD-NG queries through it.
 * :meth:`ReliableMessenger.send_cb` — fire-and-forget callback form for
   control messages whose sender never blocks (LARD completion notices,
   L2S server-set updates).  The ``deliver`` effect fires at the first
@@ -133,6 +138,29 @@ class ReliableMessenger:
                     yield env.timeout(backoff)
         self._bump(self.failures, kind)
         return False
+
+    # -- waiting (callback) form --------------------------------------------
+
+    def request_cb(
+        self,
+        src: int,
+        dst: int,
+        size_kb: float,
+        kind: str,
+        done: Callable[[bool], None],
+        ni_time_s: Optional[float] = None,
+    ) -> None:
+        """Callback twin of :meth:`request_gen`.
+
+        Same attempts, charges, waits and counters in the same order;
+        ``done(True)`` fires when a transmission is acknowledged,
+        ``done(False)`` when retries exhaust.  Like the generator's local
+        shortcut, ``src == dst`` completes at once without a message.
+        """
+        if src == dst:
+            done(True)
+            return
+        _ReliableRequest(self, src, dst, size_kb, kind, done, ni_time_s)
 
     # -- fire-and-forget (callback) form -----------------------------------
 
@@ -285,4 +313,114 @@ class _ReliableSend:
     def _retransmit(self) -> None:
         if self.finished:
             return
+        self._transmit()
+
+
+class _ReliableRequest:
+    """State machine for one :meth:`ReliableMessenger.request_cb` call.
+
+    Stop-and-wait, mirroring :meth:`ReliableMessenger.request_gen`: an
+    attempt sends the payload; a delivery sends the ack back; a lost
+    payload or ack waits out the rest of the timeout, then the backoff,
+    then retransmits.
+    """
+
+    __slots__ = (
+        "messenger",
+        "net",
+        "env",
+        "src",
+        "dst",
+        "size_kb",
+        "ni_time_s",
+        "kind",
+        "done",
+        "spec",
+        "attempt",
+        "started",
+        "delivered_once",
+    )
+
+    def __init__(
+        self,
+        messenger: ReliableMessenger,
+        src: int,
+        dst: int,
+        size_kb: float,
+        kind: str,
+        done: Callable[[bool], None],
+        ni_time_s: Optional[float],
+    ):
+        self.messenger = messenger
+        self.net = messenger.net
+        self.env = messenger.env
+        self.src = src
+        self.dst = dst
+        self.size_kb = size_kb
+        self.ni_time_s = ni_time_s
+        self.kind = kind
+        self.done = done
+        self.spec = messenger.spec_for(kind)
+        self.attempt = 0
+        self.delivered_once = False
+        self._transmit()
+
+    def _transmit(self) -> None:
+        self.started = self.env.now
+        if self.attempt:
+            m = self.messenger
+            m._bump(m.retries, self.kind)
+        self.net.send_message_cb(
+            self.src,
+            self.dst,
+            self.size_kb,
+            self.kind,
+            self.ni_time_s,
+            done=self._on_delivered,
+            on_drop=self._on_lost,
+        )
+
+    def _on_delivered(self) -> None:
+        m = self.messenger
+        if self.delivered_once:
+            m._bump(m.dedups, self.kind)
+        self.delivered_once = True
+        # The receiver acks every copy it sees; the ack itself can be
+        # lost, forcing a (deduped) retransmission.
+        m._bump(m.acks, self.kind)
+        cfg = self.net.config
+        self.net.send_message_cb(
+            self.dst,
+            self.src,
+            cfg.control_kb,
+            self.kind + "_ack",
+            cfg.ni_control_time(),
+            done=self._on_acked,
+            on_drop=self._on_lost,
+        )
+
+    def _on_acked(self) -> None:
+        self.done(True)
+
+    def _on_lost(self) -> None:
+        remaining = self.spec.timeout_s - (self.env.now - self.started)
+        if remaining > 0:
+            self.env.call_later(remaining, self._timed_out)
+        else:
+            self._timed_out(None)
+
+    def _timed_out(self, _e) -> None:
+        if self.attempt >= self.spec.max_retries:
+            m = self.messenger
+            m._bump(m.failures, self.kind)
+            self.done(False)
+            return
+        self.attempt += 1
+        backoff = self.spec.backoff(self.attempt)
+        if backoff > 0:
+            self.env.call_later(backoff, self._retransmit)
+        else:
+            self._transmit()
+
+    def _retransmit(self, _e) -> None:
         self._transmit()

@@ -145,6 +145,10 @@ class DistributionPolicy(ABC):
 
     #: Human-readable policy name (used in reports and benchmarks).
     name: str = "base"
+    #: True when decisions need the messaging layer: the simulator then
+    #: drives ``decide_process`` (generator lifecycle) or ``decide_cb``
+    #: (callback lifecycle) instead of :meth:`decide`.
+    async_decide: bool = False
 
     def __init__(self) -> None:
         self.cluster: Optional[Cluster] = None

@@ -28,8 +28,9 @@ single-point-of-failure claim in its starkest form.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
+from ..cluster.node import CPU_PROMPT
 from .base import Decision, DistributionPolicy, ServiceUnavailable, ShuffledRoundRobin
 from .lard import LARDPolicy
 
@@ -40,8 +41,8 @@ class DispatcherLARDPolicy(LARDPolicy):
     """LARD/R run at a dedicated dispatcher, queried per request."""
 
     name = "lard-ng"
-    #: The simulator must obtain decisions through
-    #: :meth:`decide_process`, which charges the query round-trip.
+    #: The simulator must obtain decisions through :meth:`decide_process`
+    #: or :meth:`decide_cb`, which charge the query round-trip.
     async_decide = True
 
     def __init__(
@@ -207,10 +208,34 @@ class DispatcherLARDPolicy(LARDPolicy):
                 raise ServiceUnavailable("dispatcher reply timed out")
         return decision
 
+    def decide_cb(
+        self,
+        initial: int,
+        file_id: int,
+        done: Callable[[Decision], None],
+        failed: Callable[[], None],
+    ) -> None:
+        """Continuation-style twin of :meth:`decide_process`.
+
+        Same query, dispatcher CPU hold and reply, charge for charge, as
+        a callback chain: ``done(decision)`` fires where the generator
+        returns the decision, ``failed()`` where it raises
+        :class:`ServiceUnavailable`.  Both may fire synchronously (a
+        single node, a dead dispatcher).
+        """
+        if self._single_node:
+            done(Decision(target=0, forwarded=False))
+            return
+        if self._dispatcher in self.failed_nodes:
+            failed()
+            return
+        self.queries += 1
+        _DispatchQuery(self, initial, file_id, done, failed)
+
     def decide(self, initial: int, file_id: int) -> Decision:
         raise RuntimeError(
             "lard-ng decisions require the messaging round-trip; drive it "
-            "through decide_process (async_decide=True)"
+            "through decide_process or decide_cb (async_decide=True)"
         )
 
     def stats(self):
@@ -219,3 +244,111 @@ class DispatcherLARDPolicy(LARDPolicy):
         s["elections"] = self.elections
         s["dispatcher"] = self._dispatcher
         return s
+
+
+class _DispatchQuery:
+    """One :meth:`DispatcherLARDPolicy.decide_cb` round-trip.
+
+    Stages, as in :meth:`DispatcherLARDPolicy.decide_process`: the query
+    to the dispatcher, the decision CPU there, the LARD/R decision, the
+    reply.  The dispatcher is re-read at every stage, because an
+    election may move it mid-query.
+    """
+
+    __slots__ = (
+        "policy",
+        "cluster",
+        "initial",
+        "file_id",
+        "done",
+        "failed",
+        "decision",
+        "_node",
+        "_req",
+    )
+
+    def __init__(
+        self,
+        policy: DispatcherLARDPolicy,
+        initial: int,
+        file_id: int,
+        done: Callable[[Decision], None],
+        failed: Callable[[], None],
+    ):
+        self.policy = policy
+        self.cluster = policy._require_cluster()
+        self.initial = initial
+        self.file_id = file_id
+        self.done = done
+        self.failed = failed
+        dispatcher = policy._dispatcher
+        if initial == dispatcher:
+            self._decide_at_dispatcher()
+        else:
+            self._send(initial, dispatcher, "lardng_query", self._query_sent)
+
+    def _send(
+        self, src: int, dst: int, kind: str, done: Callable[[bool], None]
+    ) -> None:
+        net = self.cluster.net
+        proto = net.protocol
+        if proto is not None and proto.covers(kind):
+            cfg = self.cluster.config
+            proto.request_cb(
+                src, dst, cfg.control_kb, kind, done, ni_time_s=cfg.ni_control_time()
+            )
+        else:
+            net.send_control_cb(
+                src, dst, kind, done=lambda: done(True), on_drop=lambda: done(False)
+            )
+
+    def _query_sent(self, ok: bool) -> None:
+        if not ok:
+            # The dispatcher is unreachable (lost query after retries,
+            # crash, partition): the accepting node times out and the
+            # client retries — the request aborts.
+            self.failed()
+            return
+        self._decide_at_dispatcher()
+
+    def _decide_at_dispatcher(self) -> None:
+        if self.policy.decision_cpu_s > 0:
+            node = self._node = self.cluster.node(self.policy._dispatcher)
+            req = self._req = node.cpu.request(CPU_PROMPT)
+            req.callbacks.append(self._cpu_held)
+        else:
+            self._decide()
+
+    def _cpu_held(self, _e) -> None:
+        self.cluster.env.call_later(
+            self.policy.decision_cpu_s / self._node.speed, self._cpu_done
+        )
+
+    def _cpu_done(self, _e) -> None:
+        self._node.cpu.free(self._req)
+        self._req = None
+        self._decide()
+
+    def _decide(self) -> None:
+        policy = self.policy
+        try:
+            self.decision = super(DispatcherLARDPolicy, policy).decide(
+                self.initial, self.file_id
+            )
+        except ServiceUnavailable:
+            self.failed()
+            return
+        dispatcher = policy._dispatcher
+        if self.initial == dispatcher:
+            self.done(self.decision)
+        else:
+            self._send(dispatcher, self.initial, "lardng_reply", self._reply_sent)
+
+    def _reply_sent(self, ok: bool) -> None:
+        if not ok:
+            # The decision never reached the accepting node: undo the
+            # dispatcher's optimistic view charge and abort.
+            self.policy.on_handoff_failed(self.initial, self.decision.target)
+            self.failed()
+            return
+        self.done(self.decision)

@@ -203,21 +203,17 @@ class Simulation:
         if self.timeline is not None:
             self.cluster.shed_listener = self.timeline.record_shed
         #: Callback-chain request lifecycle (see docs/KERNEL.md).  The
-        #: fast path covers the common shape — replicated disks, a
-        #: synchronous ``decide``, no client-side timeout interrupts; the
-        #: generator path keeps the rest.  Crash/recovery schedules stay
-        #: eligible: the chain performs the same incarnation-aware abort
-        #: checks at every stage boundary.  REPRO_SIM_FASTPATH=0 forces
-        #: the generator path everywhere (used by the equivalence suite).
-        #: Netfault runs force the generator path: reliable hand-offs
-        #: wait out protocol timeouts inline, which the callback chain
-        #: cannot express.
+        #: fast path covers everything but two shapes: client-side
+        #: timeout interrupts (they need a process to throw into) and
+        #: the partitioned DFS; the generator path keeps those.
+        #: Crash/recovery schedules, unreliable fabrics (reliable
+        #: hand-offs and re-dispatch) and async-decide policies stay
+        #: eligible.  REPRO_SIM_FASTPATH=0 forces the generator path
+        #: everywhere (used by the equivalence suite).
         self._fastpath = (
             os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"
             and config.replicated_disks
-            and not getattr(policy, "async_decide", False)
             and (retry is None or retry.timeout_s is None)
-            and self.cluster.net.netfaults is None
         )
 
     # -- injection -------------------------------------------------------------

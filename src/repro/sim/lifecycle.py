@@ -132,7 +132,7 @@ def client_request(
         redispatch_left = nf.config.handoff_redispatch if nf is not None else 0
         while True:
             try:
-                if getattr(policy, "async_decide", False):
+                if policy.async_decide:
                     # Dispatcher-style policies decide through the
                     # messaging layer (e.g. lard-ng's query round-trip).
                     decision = yield from policy.decide_process(initial, file_id)
@@ -246,11 +246,18 @@ class _FastRequest:
     equivalence suite asserts the results are indistinguishable from the
     generator path.
 
+    The generator path's netfault machinery is mirrored too: a hand-off
+    the policy marks reliable rides :meth:`ReliableMessenger.request_cb
+    <repro.netfaults.protocol.ReliableMessenger.request_cb>`, and a
+    hand-off that dies in the fabric re-runs the decision while the
+    ``handoff_redispatch`` budget lasts.  Dispatcher-style policies
+    (``async_decide``) decide through their continuation-style
+    ``decide_cb``.
+
     The driver falls back to :func:`client_request` whenever a request
     might be *interrupted* (client timeouts need a process to throw
-    into), when the policy decides through the messaging layer
-    (``async_decide``), or when the DFS is partitioned (remote miss
-    traffic keeps the generator path); see ``docs/KERNEL.md``.
+    into), or when the DFS is partitioned (remote miss traffic keeps the
+    generator path); see ``docs/KERNEL.md``.
     """
 
     __slots__ = (
@@ -273,6 +280,7 @@ class _FastRequest:
         "service_inc",
         "opened",
         "misses_before",
+        "redispatch_left",
         "_req",
         "_san_tok",
     )
@@ -391,15 +399,38 @@ class _FastRequest:
             _breaker_failure(self.cluster, self.initial)
             self._abort()
             return
-        try:
-            self.decision = self.policy.decide(self.initial, self.file_id)
-        except ServiceUnavailable:
-            # The generator path raises NodeFailedError(initial) here,
-            # whose except-block blames the initial node; mirror that.
-            _breaker_failure(self.cluster, self.initial)
-            self._abort()
+        # On an unreliable fabric the front end may re-run the decision
+        # after a hand-off exhausts its message retries (partition
+        # tolerance); on a perfect fabric the budget is zero.
+        nf = self.cluster.net.netfaults
+        self.redispatch_left = nf.config.handoff_redispatch if nf is not None else 0
+        self._decide()
+
+    def _decide(self) -> None:
+        policy = self.policy
+        if policy.async_decide:
+            # Dispatcher-style policies decide through the messaging
+            # layer (e.g. lard-ng's query round-trip).
+            policy.decide_cb(
+                self.initial, self.file_id, self._decided, self._decide_failed
+            )
             return
-        if self.decision.forwarded:
+        try:
+            decision = policy.decide(self.initial, self.file_id)
+        except ServiceUnavailable:
+            self._decide_failed()
+            return
+        self._decided(decision)
+
+    def _decide_failed(self) -> None:
+        # The generator path raises NodeFailedError(initial) here, whose
+        # except-block blames the initial node; mirror that.
+        _breaker_failure(self.cluster, self.initial)
+        self._abort()
+
+    def _decided(self, decision) -> None:
+        self.decision = decision
+        if decision.forwarded:
             node = self.initial_node
             node.forwarded += 1
             req = self._req = node.cpu.request(CPU_PROMPT)
@@ -414,24 +445,49 @@ class _FastRequest:
 
     def _forward_done(self, _e) -> None:
         self.initial_node.cpu.free(self._req)
-        self.cluster.net.send_message_cb(
-            self.initial,
-            self.decision.target,
-            self.hw.request_kb,
-            kind="handoff",
-            done=self._at_service,
-            on_drop=self._handoff_lost,
-        )
+        net = self.cluster.net
+        proto = net.protocol
+        if proto is not None and proto.covers("handoff"):
+            proto.request_cb(
+                self.initial,
+                self.decision.target,
+                self.hw.request_kb,
+                "handoff",
+                self._handoff_sent,
+            )
+        else:
+            net.send_message_cb(
+                self.initial,
+                self.decision.target,
+                self.hw.request_kb,
+                kind="handoff",
+                done=self._at_service,
+                on_drop=self._handoff_lost,
+            )
+
+    def _handoff_sent(self, delivered: bool) -> None:
+        if delivered:
+            self._at_service()
+        else:
+            self._handoff_lost()
 
     def _handoff_lost(self) -> None:
-        """The hand-off died in the fabric (the target crashed while it
-        was in flight — netfault runs never use this path).  Without the
-        drop wiring the chain would simply stall and wedge the closed
-        loop; instead the policy rolls back its view charge and the
-        request aborts like any other crash casualty."""
-        self.policy.on_handoff_failed(self.initial, self.decision.target)
-        _breaker_failure(self.cluster, self.decision.target)
-        self._abort()
+        """The hand-off (and all its retries) died in the fabric: a lost
+        message, a partition, or a target that crashed while it was in
+        flight.  The policy rolls back its view charge; then the request
+        re-runs the decision while the redispatch budget lasts, or aborts
+        like any other crash casualty."""
+        target = self.decision.target
+        self.policy.on_handoff_failed(self.initial, target)
+        if self.redispatch_left <= 0 or self._initial_dead():
+            _breaker_failure(self.cluster, target)
+            self._abort()
+            return
+        self.redispatch_left -= 1
+        proto = self.cluster.net.protocol
+        if proto is not None:
+            proto.redispatches += 1
+        self._decide()
 
     # -- service node: fetch + reply ---------------------------------------
 

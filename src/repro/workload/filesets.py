@@ -110,23 +110,44 @@ def lognormal_sizes(
     return np.maximum(1, np.round(sizes)).astype(np.int64)
 
 
-def _tilted_assignment(
-    sizes_sorted: np.ndarray,
-    theta: float,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """Assign sorted sizes to popularity ranks with tilt ``theta``.
+class _TiltRanker:
+    """Assign sorted sizes to popularity ranks with a tilt ``theta``.
 
     Each file gets a score ``theta * log(size) + noise``; files are ranked
-    by ascending score, so positive ``theta`` puts *small* files at hot
-    ranks (low scores → low ranks) and negative ``theta`` puts big files
-    there.  ``theta = 0`` is a random assignment.
+    by ascending score (a stable sort), so positive ``theta`` puts *small*
+    files at hot ranks (low scores → low ranks) and negative ``theta``
+    puts big files there.  ``theta = 0`` is a random assignment.
+
+    The calibration bisection asks for a run of nearby tilts, whose
+    orders differ by a few swaps, so each sort starts from the previous
+    order: a stable sort of nearly-sorted scores runs in close to linear
+    time.  That gives the same order as sorting from scratch whenever the
+    scores are all distinct; with an exact tie the stable tie-break would
+    follow the previous order instead of the file index, so a tie falls
+    back to the plain sort.
     """
-    scores = theta * np.log(sizes_sorted) + noise
-    order = np.argsort(scores, kind="stable")
-    ranked = np.empty_like(sizes_sorted)
-    ranked[:] = sizes_sorted[order]
-    return ranked
+
+    def __init__(self, sizes_sorted: np.ndarray, noise: np.ndarray):
+        self.sizes = sizes_sorted
+        self.log_sizes = np.log(sizes_sorted)
+        self.noise = noise
+        self._order: Optional[np.ndarray] = None
+
+    def order(self, theta: float) -> np.ndarray:
+        scores = theta * self.log_sizes + self.noise
+        prev = self._order
+        if prev is not None:
+            warm = prev[np.argsort(scores[prev], kind="stable")]
+            ranked_scores = scores[warm]
+            if not (ranked_scores[1:] == ranked_scores[:-1]).any():
+                self._order = warm
+                return warm
+        order = self._order = np.argsort(scores, kind="stable")
+        return order
+
+    def ranked(self, theta: float) -> np.ndarray:
+        """Sizes in rank order for tilt ``theta``."""
+        return self.sizes[self.order(theta)]
 
 
 def build_fileset(
@@ -151,10 +172,12 @@ def build_fileset(
     noise = rng.standard_normal(num_files) * 1.0
     zipf = ZipfDistribution(num_files, alpha)
     pmf = zipf.pmf
+    ranker = _TiltRanker(sizes, noise)
 
     def weighted_mean(theta: float) -> float:
-        ranked = _tilted_assignment(sizes, theta, noise)
-        return float(pmf @ ranked)
+        # np.dot reaches the same float64 dot kernel as ``pmf @ ranked``
+        # without the matmul ufunc's slow int64 -> float64 casting path.
+        return float(np.dot(pmf, ranker.ranked(theta)))
 
     target = float(mean_request_bytes)
     # weighted_mean is monotone non-increasing in theta: positive theta
@@ -179,8 +202,8 @@ def build_fileset(
     # bracket assignments interpolates the weighted mean *exactly* while
     # preserving the total byte count (both are permutations of the same
     # multiset) and keeping every size positive.
-    r_lo = _tilted_assignment(sizes, lo, noise).astype(np.float64)
-    r_hi = _tilted_assignment(sizes, hi, noise).astype(np.float64)
+    r_lo = ranker.ranked(lo).astype(np.float64)
+    r_hi = ranker.ranked(hi).astype(np.float64)
     m_lo, m_hi = float(pmf @ r_lo), float(pmf @ r_hi)
     if abs(m_lo - m_hi) < 1e-12:
         w = 0.0

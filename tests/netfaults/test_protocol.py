@@ -185,3 +185,50 @@ def test_reset_accounting_clears_protocol_counters():
     assert proto.stats() == {
         "retries": {}, "acks": {}, "dedups": {}, "failures": {},
     }
+
+
+def _exchange(form, loss_rate, seed, spec):
+    """One reliable send over a lossy fabric in the given form; returns
+    (outcome, finish time) and every counter it moved."""
+    env, cluster = make_cluster(loss_rate=loss_rate, seed=seed, default_spec=spec)
+    proto = cluster.net.protocol
+    if form == "gen":
+        outcome = (run(env, proto.request_gen(0, 1, 1.0, "handoff")), env.now)
+    else:
+        done = []
+        proto.request_cb(0, 1, 1.0, "handoff", lambda ok: done.append((ok, env.now)))
+        env.run()
+        (outcome,) = done
+    net = cluster.net
+    return (
+        outcome,
+        proto.stats(),
+        net.delivered_counts,
+        net.dropped_counts,
+        net.dup_counts,
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_request_cb_mirrors_request_gen(seed):
+    spec = RetrySpec(
+        timeout_s=1e-3, max_retries=3, base_backoff_s=5e-4, multiplier=2.0,
+        cap_s=2e-3,
+    )
+    cb = _exchange("cb", 0.45, seed, spec)
+    assert cb == _exchange("gen", 0.45, seed, spec)
+
+
+def test_request_cb_covers_success_and_give_up():
+    spec = RetrySpec(timeout_s=1e-3, max_retries=3, base_backoff_s=5e-4)
+    runs = [_exchange("cb", 0.45, seed, spec) for seed in range(12)]
+    assert {outcome for (outcome, _), *_ in runs} == {True, False}
+    assert any(stats["retries"] for _, stats, *_ in runs)
+
+
+def test_request_cb_same_node_shortcut():
+    env, cluster = make_cluster()
+    outcome = []
+    cluster.net.protocol.request_cb(0, 0, 1.0, "handoff", outcome.append)
+    assert outcome == [True]
+    assert cluster.net.messages_sent == 0

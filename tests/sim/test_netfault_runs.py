@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.experiments import run_netfault_simulation
+from repro.faults import FaultSchedule, RetryPolicy
 from repro.model import MB
 from repro.netfaults import NetFaultConfig, NetFaultSchedule, RetrySpec
 from repro.servers import make_policy
@@ -135,9 +136,131 @@ def test_partitioned_dfs_without_fallback_fails_requests(trace):
     assert r.requests_failed > 0
 
 
-def test_netfault_run_forces_generator_lifecycle(trace):
+def test_netfault_and_async_decide_runs_take_the_fast_path(trace):
     nf = NetFaultConfig(loss_rate=0.01)
-    sim = Simulation(trace, make_policy("lard"), cfg(net_faults=nf), passes=2)
+    for policy in ("lard", "lard-ng"):
+        for net_faults in (nf, None):
+            sim = Simulation(
+                trace, make_policy(policy), cfg(net_faults=net_faults), passes=2
+            )
+            assert sim._fastpath, (policy, net_faults)
+    # Client timeouts and the partitioned DFS keep the generator path.
+    sim = Simulation(
+        trace,
+        make_policy("lard"),
+        cfg(net_faults=nf),
+        retry=RetryPolicy(max_retries=1, timeout_s=0.5),
+    )
     assert not sim._fastpath
-    base = Simulation(trace, make_policy("lard"), cfg(), passes=2)
-    assert base._fastpath
+    sim = Simulation(
+        trace, make_policy("lard"), cfg(net_faults=nf, replicated_disks=False)
+    )
+    assert not sim._fastpath
+
+
+# -- callback chain == generator lifecycle -------------------------------------
+
+#: Roughly the simulated seconds the small equivalence trace below takes
+#: on a protocol-on, perfect fabric (lard, 4 nodes: about 2.6 s);
+#: schedules are placed at fractions of it so they land inside the run.
+HORIZON_S = 2.0
+
+
+@pytest.fixture(scope="module")
+def small_trace():
+    fs = build_fileset(250, 15 * 1024, 12 * 1024, 0.9, seed=13, name="nfeq")
+    return generate_trace(fs, 1000, seed=14, name="nfeq")
+
+
+def _fabric(name):
+    t = HORIZON_S
+    if name == "loss":
+        return NetFaultConfig(loss_rate=0.03, seed=1)
+    if name == "dup":
+        return NetFaultConfig(dup_rate=0.02, loss_rate=0.005, seed=2)
+    if name == "delay":
+        return NetFaultConfig(extra_delay_s=2e-4, loss_rate=0.005, seed=3)
+    if name == "jitter":
+        return NetFaultConfig(jitter_s=3e-4, loss_rate=0.005, seed=4)
+    if name == "partition":
+        sched = NetFaultSchedule.partition((1,), 0.3 * t, 0.6 * t)
+        return NetFaultConfig(schedule=sched, seed=5)
+    if name == "link_out":
+        sched = NetFaultSchedule.parse(f"link:0-2@{0.2 * t}..{0.7 * t}")
+        # A short retry budget so lost hand-offs exhaust and re-dispatch.
+        spec = RetrySpec(timeout_s=1e-3, max_retries=1, base_backoff_s=0.0, cap_s=0.0)
+        return NetFaultConfig(schedule=sched, loss_rate=0.05, seed=6, default_spec=spec)
+    raise AssertionError(name)
+
+
+def _both_lifecycles(monkeypatch, trace, policy, config, **kw):
+    results = []
+    for fastpath in ("1", "0"):
+        monkeypatch.setenv("REPRO_SIM_FASTPATH", fastpath)
+        sim = Simulation(
+            trace, make_policy(policy), config, warmup_fraction=0.2, seed=3, **kw
+        )
+        assert sim._fastpath == (fastpath == "1")
+        results.append(asdict(sim.run()))
+    return results
+
+
+@pytest.mark.parametrize("policy", ["traditional", "lard", "l2s", "lard-ng"])
+@pytest.mark.parametrize(
+    "fabric", ["loss", "dup", "delay", "jitter", "partition", "link_out"]
+)
+def test_fastpath_matches_generator_lifecycle(monkeypatch, small_trace, fabric, policy):
+    fast, slow = _both_lifecycles(
+        monkeypatch, small_trace, policy, cfg(net_faults=_fabric(fabric))
+    )
+    assert fast == slow
+    assert fast["netfault_summary"]
+
+
+def test_equivalence_fixtures_reach_retries_and_redispatch(small_trace):
+    """The link_out fabric above drives the reliable-messaging branches."""
+    sim = Simulation(
+        small_trace,
+        make_policy("lard-ng"),
+        cfg(net_faults=_fabric("link_out")),
+        warmup_fraction=0.2,
+        seed=3,
+    )
+    assert sim._fastpath
+    fast = asdict(sim.run())
+    stats = fast["message_stats"]
+    assert stats["handoff"]["retries"] > 0
+    assert stats["lardng_query"]["retries"] > 0
+    assert fast["netfault_summary"]["redispatches"] > 0
+
+
+@pytest.mark.parametrize("policy", ["lard", "lard-ng"])
+def test_fastpath_matches_generator_lifecycle_sanitized(
+    monkeypatch, small_trace, policy
+):
+    fast, slow = _both_lifecycles(
+        monkeypatch,
+        small_trace,
+        policy,
+        cfg(net_faults=_fabric("loss")),
+        sanitize=True,
+    )
+    assert fast == slow
+
+
+@pytest.mark.parametrize("policy", ["l2s", "lard-ng"])
+def test_fastpath_matches_generator_lifecycle_crash_in_partition(
+    monkeypatch, small_trace, policy
+):
+    t = HORIZON_S
+    faults = FaultSchedule.crash_and_recover(2, 0.4 * t, 0.5 * t)
+    fast, slow = _both_lifecycles(
+        monkeypatch,
+        small_trace,
+        policy,
+        cfg(net_faults=_fabric("partition")),
+        faults=faults,
+        retry=RetryPolicy(max_retries=2),
+    )
+    assert fast == slow
+    assert fast["requests_failed"] + fast["requests_retried"] > 0

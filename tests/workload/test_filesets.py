@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workload import FileSet, build_fileset, lognormal_sizes
+from repro.workload import FileSet, build_fileset, lognormal_sizes, preset
+from repro.workload.filesets import _TiltRanker
+from repro.workload.zipf import ZipfDistribution
 
 
 def test_lognormal_sizes_hits_mean():
@@ -126,3 +128,74 @@ def test_property_build_fileset_two_moments(num_files, mean_kb, ratio, alpha):
         return  # target outside the achievable range: acceptable, documented
     assert fs.mean_file_bytes == pytest.approx(mean_bytes, rel=0.03)
     assert fs.mean_request_bytes() == pytest.approx(target_req, rel=0.03)
+    reference = _reference_sizes(num_files, mean_bytes, target_req, alpha, seed=1)
+    assert np.array_equal(fs.sizes, reference)
+
+
+# -- calibration exactness ------------------------------------------------------
+
+
+def _reference_sizes(num_files, mean_file_bytes, mean_request_bytes, alpha, seed):
+    """The calibration as first written: a plain stable argsort of the
+    scores at every bisection step, and ``pmf @ ranked`` for the mean.
+    The warm-started sorts in build_fileset must reproduce it exactly."""
+    rng = np.random.default_rng(seed)
+    sizes = np.sort(lognormal_sizes(num_files, mean_file_bytes, 1.6, rng))
+    noise = rng.standard_normal(num_files) * 1.0
+    pmf = ZipfDistribution(num_files, alpha).pmf
+
+    def assignment(theta):
+        order = np.argsort(theta * np.log(sizes) + noise, kind="stable")
+        ranked = np.empty_like(sizes)
+        ranked[:] = sizes[order]
+        return ranked
+
+    def weighted_mean(theta):
+        return float(pmf @ assignment(theta))
+
+    target = float(mean_request_bytes)
+    lo, hi = -8.0, 8.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if weighted_mean(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    r_lo = assignment(lo).astype(np.float64)
+    r_hi = assignment(hi).astype(np.float64)
+    m_lo, m_hi = float(pmf @ r_lo), float(pmf @ r_hi)
+    if abs(m_lo - m_hi) < 1e-12:
+        w = 0.0
+    else:
+        w = min(1.0, max(0.0, (m_lo - target) / (m_lo - m_hi)))
+    ranked = (1.0 - w) * r_lo + w * r_hi
+    return np.maximum(1, np.round(ranked)).astype(np.int64)
+
+
+@pytest.mark.parametrize("name", ["calgary", "clarknet", "nasa", "rutgers"])
+def test_build_fileset_matches_the_plain_sort_calibration(name):
+    p = preset(name)
+    args = (p.num_files, p.avg_file_kb * 1024, p.avg_request_kb * 1024, p.alpha)
+    for seed in [*range(40), 2027]:
+        fs = build_fileset(*args, seed=seed)
+        assert np.array_equal(fs.sizes, _reference_sizes(*args, seed)), seed
+
+
+def test_tilt_ranker_falls_back_to_the_plain_sort_on_a_tie():
+    # Files 0 and 2 share a noise value, so their scores tie at theta = 0;
+    # at theta = -1 the larger file 2 ranks first.  Warm-starting from
+    # that order would keep 2 ahead of 0, where a plain stable sort puts
+    # the lower index first.
+    sizes = np.array([64, 128, 256, 512])
+    noise = np.array([0.5, 0.1, 0.5, -0.3])
+    ranker = _TiltRanker(sizes, noise)
+    prev = ranker.order(-1.0)
+    assert list(prev) == [3, 2, 1, 0]
+    warm = prev[np.argsort(noise[prev], kind="stable")]
+    plain = np.argsort(noise, kind="stable")
+    assert list(warm) != list(plain)
+    assert list(ranker.order(0.0)) == list(plain)
+    # Tie-free tilts take the warm start and agree with a plain sort too.
+    for theta in (0.25, 2.0, -3.0):
+        scores = theta * np.log(sizes) + noise
+        assert list(ranker.order(theta)) == list(np.argsort(scores, kind="stable"))

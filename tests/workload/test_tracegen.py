@@ -148,3 +148,30 @@ def test_synthesized_trace_empirical_alpha():
     counts = np.bincount(t.file_ids, minlength=t.fileset.num_files)
     alpha_hat = fit_zipf_alpha(counts.astype(np.float64))
     assert alpha_hat == pytest.approx(0.78, abs=0.12)
+
+
+@pytest.mark.parametrize("rewrite", ["flash", "ramp", "churn"])
+def test_workload_rewrites_leave_their_input_unchanged(rewrite):
+    """The chaos runner shares one base trace between a perturbed run and
+    its baseline, which is only safe if no rewrite touches its input."""
+    from repro.experiments.flashcrowd import flash_crowd_trace
+    from repro.workload.tracegen import flash_ramp_trace, popularity_churn_trace
+
+    base = generate_trace(
+        small_fileset(), 4000, seed=3, arrival_rate=500.0, name="base"
+    )
+    assert base.timestamps is not None
+    before = (
+        base.file_ids.copy(),
+        base.timestamps.copy(),
+        base.fileset.sizes.copy(),
+    )
+    rewritten = {
+        "flash": lambda: flash_crowd_trace(base, hot_share=0.9, seed=1),
+        "ramp": lambda: flash_ramp_trace(base, peak_share=0.9, seed=2),
+        "churn": lambda: popularity_churn_trace(base, intensity=1.0, seed=3),
+    }[rewrite]()
+    assert not np.array_equal(rewritten.file_ids, base.file_ids)
+    assert np.array_equal(base.file_ids, before[0])
+    assert np.array_equal(base.timestamps, before[1])
+    assert np.array_equal(base.fileset.sizes, before[2])
