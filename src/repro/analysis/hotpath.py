@@ -1,7 +1,7 @@
 """Hot-path allocation lint (REP104).
 
 Functions marked ``# simlint: hotpath`` are the kernel v3 per-event fast
-paths (now-queue drains, free-list grant/release, calendar push/pop).
+paths (now-queue drains, station holds, grant/release, calendar push/pop).
 The bench gate catches regressions *after* they cost a run; this pass
 catches them structurally: every project function reachable from a
 hotpath root through the call graph is scanned for allocation-bearing

@@ -41,12 +41,14 @@ __all__ = ["Interconnect"]
 class _MessageChain:
     """Callback-chain delivery of one intra-cluster message.
 
-    The allocation-free twin of :meth:`Interconnect.send_message`: the
+    The allocation-light twin of :meth:`Interconnect.send_message`: the
     same charges in the same order (sender CPU, sender NI-out, switch,
-    receiver NI-in, receiver CPU), driven by event callbacks and pooled
-    holds instead of a generator process.  Fire-and-forget broadcasts and
-    the request-lifecycle fast path use it; code that must *wait* inline
-    inside a generator keeps the ``yield from`` form.
+    receiver NI-in, receiver CPU), each a kernel-owned station hold
+    (:meth:`Resource.hold <repro.des.resources.Resource.hold>`) whose
+    continuation is the next stage, instead of a generator process.
+    Fire-and-forget broadcasts and the request-lifecycle fast path use
+    it; code that must *wait* inline inside a generator keeps the
+    ``yield from`` form.
     """
 
     __slots__ = (
@@ -59,7 +61,6 @@ class _MessageChain:
         "kind",
         "done",
         "on_drop",
-        "_req",
         "_rinc",
         "_extra_delay",
         "_dup",
@@ -87,7 +88,6 @@ class _MessageChain:
         self.kind = kind
         self.done = done
         self.on_drop = on_drop
-        self._req = None
         self._rinc = receiver.incarnation
         self._extra_delay = 0.0
         self._dup = False
@@ -98,25 +98,18 @@ class _MessageChain:
         self.env.call_later(0.0, self._start, priority=URGENT)
 
     def _start(self, _e) -> None:
-        req = self._req = self.sender.cpu.request(CPU_PROMPT)
-        req.callbacks.append(self._cpu_out_held)
-
-    def _cpu_out_held(self, _e) -> None:
-        self.env.call_later(
-            self.net.config.cpu_msg_overhead_s / self.sender.speed,
+        sender = self.sender
+        sender.cpu.hold(
+            self.net.config.cpu_msg_overhead_s,
             self._cpu_out_done,
+            CPU_PROMPT,
+            sender,
         )
 
-    def _cpu_out_done(self, _e) -> None:
-        self.sender.cpu.free(self._req)
-        req = self._req = self.sender.ni_out.request()
-        req.callbacks.append(self._ni_out_held)
+    def _cpu_out_done(self) -> None:
+        self.sender.ni_out.hold(self.ni_time, self._ni_out_done)
 
-    def _ni_out_held(self, _e) -> None:
-        self.env.call_later(self.ni_time, self._ni_out_done)
-
-    def _ni_out_done(self, _e) -> None:
-        self.sender.ni_out.free(self._req)
+    def _ni_out_done(self) -> None:
         net = self.net
         cfg = net.config
         nf = net.netfaults
@@ -130,54 +123,36 @@ class _MessageChain:
         if net.switch_ports is not None:
             # Output-queued fabric: the destination port serializes
             # transfers headed to the same node.
-            req = self._req = net.switch_ports[self.receiver.id].request()
-            req.callbacks.append(self._port_held)
+            net.switch_ports[self.receiver.id].hold(
+                cfg.switch_latency_s
+                + self.size_kb / cfg.hardware.ni_kb_per_s
+                + self._extra_delay,
+                self._switched,
+            )
         else:
             self.env.call_later(cfg.switch_latency_s + self._extra_delay, self._switched)
 
-    def _port_held(self, _e) -> None:
-        cfg = self.net.config
-        self.env.call_later(
-            cfg.switch_latency_s
-            + self.size_kb / cfg.hardware.ni_kb_per_s
-            + self._extra_delay,
-            self._port_done,
-        )
-
-    def _port_done(self, _e) -> None:
-        self.net.switch_ports[self.receiver.id].free(self._req)
-        self._switched(_e)
-
-    def _switched(self, _e) -> None:
+    def _switched(self, _e=None) -> None:
         receiver = self.receiver
         if receiver.failed or receiver.incarnation != self._rinc:
             self._drop("crash")
             return
-        req = self._req = receiver.ni_in.request()
-        req.callbacks.append(self._ni_in_held)
+        receiver.ni_in.hold(self.ni_time, self._ni_in_done)
 
-    def _ni_in_held(self, _e) -> None:
-        self.env.call_later(self.ni_time, self._ni_in_done)
-
-    def _ni_in_done(self, _e) -> None:
+    def _ni_in_done(self) -> None:
         receiver = self.receiver
-        receiver.ni_in.free(self._req)
         if receiver.failed or receiver.incarnation != self._rinc:
             self._drop("crash")
             return
-        req = self._req = receiver.cpu.request(CPU_PROMPT)
-        req.callbacks.append(self._cpu_in_held)
-
-    def _cpu_in_held(self, _e) -> None:
-        self.env.call_later(
-            self.net.config.cpu_msg_overhead_s / self.receiver.speed,
+        receiver.cpu.hold(
+            self.net.config.cpu_msg_overhead_s,
             self._cpu_in_done,
+            CPU_PROMPT,
+            receiver,
         )
 
-    def _cpu_in_done(self, _e) -> None:
+    def _cpu_in_done(self) -> None:
         receiver = self.receiver
-        receiver.cpu.free(self._req)
-        self._req = None
         if receiver.failed or receiver.incarnation != self._rinc:
             self._drop("crash")
             return
@@ -194,7 +169,6 @@ class _MessageChain:
             self.done()
 
     def _drop(self, cause: str) -> None:
-        self._req = None
         self.net._record_dropped(self.kind, cause, self._tok)
         self._tok = None
         if self.on_drop is not None:
@@ -209,35 +183,25 @@ class _DupDelivery:
     counters (the dup tally was recorded when it was spawned).
     """
 
-    __slots__ = ("net", "env", "receiver", "ni_time", "_req")
+    __slots__ = ("net", "receiver")
 
     def __init__(self, net: "Interconnect", receiver: Node, ni_time: float):
         self.net = net
-        self.env = net.env
         self.receiver = receiver
-        self.ni_time = ni_time
-        self._req = None
         if not receiver.failed:
-            req = self._req = receiver.ni_in.request()
-            req.callbacks.append(self._ni_held)
+            receiver.ni_in.hold(ni_time, self._ni_done)
 
-    def _ni_held(self, _e) -> None:
-        self.env.call_later(self.ni_time, self._ni_done)
-
-    def _ni_done(self, _e) -> None:
-        self.receiver.ni_in.free(self._req)
-        req = self._req = self.receiver.cpu.request(CPU_PROMPT)
-        req.callbacks.append(self._cpu_held)
-
-    def _cpu_held(self, _e) -> None:
-        self.env.call_later(
-            self.net.config.cpu_msg_overhead_s / self.receiver.speed,
+    def _ni_done(self) -> None:
+        receiver = self.receiver
+        receiver.cpu.hold(
+            self.net.config.cpu_msg_overhead_s,
             self._cpu_done,
+            CPU_PROMPT,
+            receiver,
         )
 
-    def _cpu_done(self, _e) -> None:
-        self.receiver.cpu.free(self._req)
-        self._req = None
+    def _cpu_done(self) -> None:
+        """The copy has been charged; it carries no effect."""
 
 
 class Interconnect:

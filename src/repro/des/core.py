@@ -25,7 +25,14 @@ events per run, so this module is written for speed as much as clarity
   events once processed (``REPRO_DES_POOL=0`` disables it);
 * :meth:`Environment.call_later` / :meth:`Event.succeed_at` fast paths
   so resources and callback chains can schedule completions without
-  allocating intermediate events or generator frames;
+  allocating intermediate events or generator frames.  A ``call_later``
+  timer without a payload is *bare*: the scheduler holds the callable
+  itself and the loop calls it, so no event object is made;
+* kernel-owned station holds (:meth:`repro.des.resources.Resource.hold`):
+  the run loop grants a hold, re-arms it for its service time and
+  releases it, then calls its continuation — one object and two queue
+  entries per station visit, taking the same event ids as the
+  request / timer / release relay they replace;
 * zero-delay *now queues* (kernel v3): events scheduled at exactly the
   current simulated time — resource grants, ``succeed()``, process
   resumption, interrupts — bypass the scheduler entirely and land in
@@ -53,6 +60,7 @@ import os
 from collections import deque
 from heapq import heappop, heappush
 from math import inf
+from types import MethodType as _MethodType
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -101,6 +109,11 @@ DEFAULT_SCHEDULER = "heap"
 
 #: Upper bound on each per-environment free list (events, not bytes).
 _POOL_MAX = 4096
+
+# The kernel-owned hold class, handed over by repro.des.resources when it
+# is imported (it imports this module, so the reverse import would be a
+# cycle).  No hold can exist before then.
+_Hold: Any = None
 
 # Bound by repro.des.events at import time (see _lazy_conditions); keeps
 # Event.__and__/__or__ and Environment.all_of/any_of free of per-call
@@ -503,6 +516,9 @@ class Environment:
         detection, leak accounting.  ``None`` consults
         ``REPRO_DES_SANITIZE`` (default off).  Behaviour (results, event
         order) is identical either way; sanitized runs are slower.
+        They make a tracked ``_Callback`` event for every timer, and a
+        hold's service time runs on such a timer instead of re-arming
+        the hold itself, so every entry the sanitizer checks is an event.
     """
 
     __slots__ = (
@@ -515,8 +531,6 @@ class Environment:
         "_active_proc",
         "_timeout_pool",
         "_cb_pool",
-        "_req_pool",
-        "_preq_pool",
         "_scheduler",
         "_san",
     )
@@ -559,10 +573,6 @@ class Environment:
         # check is a single identity test.
         self._timeout_pool: Optional[list] = [] if pool_events else None
         self._cb_pool: Optional[list] = [] if pool_events else None
-        # Resource request free lists (v3): filled by Resource.free()
-        # under the same refcount rules, drained by Resource.request().
-        self._req_pool: Optional[list] = [] if pool_events else None
-        self._preq_pool: Optional[list] = [] if pool_events else None
         # Zero-delay now queues (kernel v3), one per priority level.
         # Sanitized environments leave them empty: every event then flows
         # through the fully-checked scheduler path, and the sanitizer's
@@ -643,33 +653,43 @@ class Environment:
     def call_later(
         self,
         delay: float,
-        fn: Callable[[Event], None],
+        fn: Callable[[Optional[Event]], None],
         value: Any = None,
         priority: int = NORMAL,
-    ) -> Event:
+    ) -> Optional[Event]:
         """Run ``fn(event)`` after ``delay`` — the callback-chain fast path.
 
-        Uses a pooled internal event: no Timeout, no generator, no
-        process.  The returned handle is recycled as soon as ``fn`` has
-        run and must not be retained afterwards.  ``event.value`` is
-        ``value`` (handy for chains that thread a payload through).
+        No Timeout, no generator, no process.  Without a ``value`` on an
+        unsanitized environment the timer is *bare*: the scheduler holds
+        ``fn`` itself, the loop calls ``fn(None)``, and the call returns
+        None.  Otherwise a pooled internal event carries the timer:
+        ``fn`` receives it (``event.value`` is ``value``, handy for
+        chains that thread a payload through) and the call returns it as
+        a handle that is recycled as soon as ``fn`` has run and must not
+        be retained afterwards.  Both forms take one event id, so the
+        event order is the same either way.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        pool = self._cb_pool
         san = self._san
-        if pool:
-            ev = pool.pop()
-            if san is not None:
-                san.on_reuse(ev)
-            ev._value = value
-            ev._ok = True
-            ev._defused = False
+        if value is None and san is None:
+            entry: Any = fn
+            ev: Optional[Event] = None
         else:
-            ev = _Callback(self)
-            ev._value = value
-        # The single-callback list IS call_later's payload.
-        ev.callbacks = [fn]  # simlint: disable=REP104
+            pool = self._cb_pool
+            if pool:
+                cb = pool.pop()
+                if san is not None:
+                    san.on_reuse(cb)
+                cb._value = value
+                cb._ok = True
+                cb._defused = False
+            else:
+                cb = _Callback(self)
+                cb._value = value
+            # The single-callback list IS call_later's payload.
+            cb.callbacks = [fn]  # simlint: disable=REP104
+            entry = ev = cb
         # Inlined _schedule (this is the hottest scheduling entry point).
         now = self._now
         t = now + delay
@@ -677,16 +697,16 @@ class Environment:
             if t == now:
                 # Zero-delay fast path: FIFO order is eid order.
                 self._eid += 1
-                (self._now_u if priority == 0 else self._now_n).append(ev)
+                (self._now_u if priority == 0 else self._now_n).append(entry)
                 return ev
         else:
             san.on_schedule(ev, t)
         eid = self._eid = self._eid + 1
         q = self._queue
         if q is not None:
-            heappush(q, (t, priority, eid, ev))
+            heappush(q, (t, priority, eid, entry))
         else:
-            self._cal.push((t, priority, eid, ev))
+            self._cal.push((t, priority, eid, entry))
         return ev
 
     def process(
@@ -711,11 +731,11 @@ class Environment:
 
     def schedule_callback(
         self, delay: float, callback: Callable[[], None]
-    ) -> Event:
+    ) -> Optional[Event]:
         """Run ``callback()`` after ``delay`` without creating a process.
 
-        The returned event handle is pooled: it is recycled once the
-        callback has run, so do not retain it past that point.
+        Returns what :meth:`call_later` returns: None for a bare timer,
+        else a pooled handle that must not be retained past the call.
         """
         return self.call_later(delay, lambda _e: callback())
 
@@ -774,7 +794,7 @@ class Environment:
             head = self._cal.peek()
         now = self._now
         now_u = self._now_u
-        event: Optional[Event] = None
+        event: Any = None
         if now_u:
             if head is None or head[1] != URGENT or head[0] != now:
                 event = now_u.popleft()
@@ -786,31 +806,7 @@ class Environment:
             # Now-queue drain: the clock does not move, and the
             # sanitizer is never active here (sanitized environments
             # route everything through the scheduler below).
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-            cls = event.__class__
-            if cls is Timeout:
-                pool = self._timeout_pool
-                if (
-                    pool is not None
-                    and len(pool) < _POOL_MAX
-                    and _refcount(event) == 2
-                ):
-                    event._value = PENDING
-                    pool.append(event)
-            elif cls is _Callback:
-                pool = self._cb_pool
-                if (
-                    pool is not None
-                    and len(pool) < _POOL_MAX
-                    and _refcount(event) == 2
-                ):
-                    event._value = PENDING
-                    pool.append(event)
+            self._fire(event)
             return
         if head is None:
             raise EmptySchedule()
@@ -820,58 +816,116 @@ class Environment:
             t, priority, eid, event = self._cal.popmin()
         # Drop the peeked entry tuple (it is the one just popped): a live
         # reference would keep the event's refcount above the recycle
-        # threshold below.
+        # threshold.
         head = None
-        san = self._san
-        if san is not None:
-            san.on_pop(t, priority, eid, event, self._now)
+        if self._san is not None:
+            self._fire_checked(t, priority, eid, event)
+            return
         self._now = t
+        self._fire(event)
 
+    # simlint: hotpath
+    def _fire(self, event: Any) -> None:
+        """Process one entry popped at the current time (unsanitized).
+
+        Shared by :meth:`step` and the calendar-queue loop of
+        :meth:`run`; the heap loop inlines the same body.  The entry is
+        a hold, a bare timer's callable or an event, and the caller
+        holds exactly one reference to it (the recycle guard counts on
+        that).
+        """
+        cls = event.__class__
+        if cls is _Hold:
+            if event.callbacks is not None:
+                # Granted: hold the station for the service time, read
+                # now, under the id a call_later timer would take.
+                event.callbacks = None
+                per = event.per
+                now = self._now
+                t = now + (
+                    event.seconds if per is None else event.seconds / per.speed
+                )
+                eid = self._eid = self._eid + 1
+                if t == now:
+                    self._now_n.append(event)
+                else:
+                    q = self._queue
+                    if q is not None:
+                        heappush(q, (t, NORMAL, eid, event))
+                    else:
+                        self._cal.push((t, NORMAL, eid, event))
+            else:
+                # Expired: release (the slot passes to the next live
+                # waiter), then continue the chain.
+                event.resource._do_release(event)
+                event.done()
+            return
+        if cls is _MethodType or not isinstance(event, Event):
+            event(None)  # a bare call_later timer
+            return
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
             callback(event)
-
         if not event._ok and not event._defused:
             # Nobody handled this failure.
             raise event._value
-
         # Free-list recycling.  An event is recyclable only when nothing
-        # outside this frame still references it: refcount 2 = the `event`
-        # local plus getrefcount's argument (3 when the sanitizer's record
-        # holds its extra reference).  A generator that kept the Timeout
-        # it yielded, a condition holding its constituents, or a caller
-        # retaining a call_later handle all raise the count and (safely)
-        # exempt that object from recycling.
-        recyclable = 2 if san is None else 3
-        cls = event.__class__
+        # outside the kernel still references it: refcount 3 = the
+        # caller's local, this parameter and getrefcount's argument.  A
+        # generator that kept the Timeout it yielded, a condition holding
+        # its constituents, or a caller retaining a call_later handle all
+        # raise the count and (safely) exempt that object from recycling.
         if cls is Timeout:
             pool = self._timeout_pool
-            if (
-                pool is not None
-                and len(pool) < _POOL_MAX
-                and _refcount(event) == recyclable
-            ):
-                event._value = PENDING  # poison stale reads
-                pool.append(event)
-                if san is not None:
-                    san.on_recycle(event)
-            elif san is not None:
-                san.on_processed(event)
         elif cls is _Callback:
             pool = self._cb_pool
-            if (
-                pool is not None
-                and len(pool) < _POOL_MAX
-                and _refcount(event) == recyclable
-            ):
-                event._value = PENDING
-                pool.append(event)
-                if san is not None:
-                    san.on_recycle(event)
-            elif san is not None:
-                san.on_processed(event)
-        elif san is not None:
+        else:
+            return
+        if pool is not None and len(pool) < _POOL_MAX and _refcount(event) == 3:
+            event._value = PENDING  # poison stale reads
+            pool.append(event)
+
+    # Sanitized runs are opt-in diagnostics; this path is exempt from the
+    # hot-path allocation lint.
+    # simlint: coldpath
+    def _fire_checked(self, t: float, priority: int, eid: int, event: Any) -> None:
+        """:meth:`step` on a sanitized environment: the pop is checked,
+        and a granted hold arms a separate tracked timer for its service
+        time (taking the id the unsanitized re-arm takes) instead of
+        re-arming itself, so no entry is ever scheduled twice."""
+        san: Any = self._san
+        san.on_pop(t, priority, eid, event, self._now)
+        self._now = t
+        cls = event.__class__
+        if cls is _Hold:
+            event.callbacks = None
+            per = event.per
+            self.call_later(
+                event.seconds if per is None else event.seconds / per.speed,
+                event._expire,
+            )
+            san.on_processed(event)
+            return
+        callbacks = event.callbacks
+        event.callbacks = None
+        for callback in callbacks:
+            callback(event)
+        if not event._ok and not event._defused:
+            raise event._value
+        # Recyclable at refcount 4: step()'s local, this parameter,
+        # getrefcount's argument and the sanitizer's record.
+        if cls is Timeout:
+            pool = self._timeout_pool
+        elif cls is _Callback:
+            pool = self._cb_pool
+        else:
+            pool = None
+        if pool is not None and len(pool) < _POOL_MAX and _refcount(event) == 4:
+            event._value = PENDING
+            pool.append(event)
+            san.on_recycle(event)
+        else:
             san.on_processed(event)
 
     # simlint: hotpath
@@ -931,19 +985,22 @@ class Environment:
                     break
                 step()
         elif q is not None:
-            # The heap main loop inlines step(): at millions of events per
-            # run the per-event call overhead is measurable.  Keep the two
-            # bodies in sync (step() remains the single-event API).  The
-            # pop merges the heap with the zero-delay now queues in exact
-            # (time, priority, eid) order: heap entries at the current
-            # time were scheduled earlier (smaller eid) than any now-queue
-            # entry, and urgent now-queue entries overtake NORMAL heap
-            # entries at the current time (priority compares first).
+            # The heap main loop inlines step() and _fire(): at millions
+            # of events per run the per-event call overhead is
+            # measurable.  Keep the bodies in sync (step() remains the
+            # single-event API).  The pop merges the heap with the
+            # zero-delay now queues in exact (time, priority, eid) order:
+            # heap entries at the current time were scheduled earlier
+            # (smaller eid) than any now-queue entry, and urgent
+            # now-queue entries overtake NORMAL heap entries at the
+            # current time (priority compares first).
             timeout_pool = self._timeout_pool
             cb_pool = self._cb_pool
+            hold_cls = _Hold
             now_u = self._now_u
             now_n = self._now_n
             pop = heappop
+            push = heappush
             pop_u = now_u.popleft
             pop_n = now_n.popleft
             now = self._now
@@ -972,6 +1029,45 @@ class Environment:
                     event = pop_n()
                 else:
                     break
+                cls = event.__class__
+                if cls is hold_cls:
+                    # Station holds, about 85% of a simulation's events.
+                    if event.callbacks is not None:
+                        # Granted: hold for the service time (read now,
+                        # so a speed change while queued counts) under
+                        # the id a call_later timer would take.
+                        event.callbacks = None
+                        per = event.per
+                        t = now + (
+                            event.seconds if per is None
+                            else event.seconds / per.speed
+                        )
+                        eid = self._eid = self._eid + 1
+                        if t == now:
+                            now_n.append(event)
+                        else:
+                            push(q, (t, 1, eid, event))  # NORMAL
+                    else:
+                        # Expired: Resource._do_release inlined (busy
+                        # time, then the slot passes to the next live
+                        # waiter), then the chain continues.
+                        res = event.resource
+                        users = res.users
+                        users.remove(event)
+                        if not users and res._busy_since is not None:
+                            res._busy_time += now - res._busy_since
+                            res._busy_since = None
+                        waiting = res.queue
+                        while waiting:
+                            nxt = waiting.popleft()
+                            if nxt._value is PENDING:
+                                res._grant(nxt)
+                                break
+                        event.done()
+                    continue
+                if cls is _MethodType or not isinstance(event, Event):
+                    event(None)  # a bare call_later timer
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 # Almost every event carries exactly one callback (the
@@ -983,7 +1079,6 @@ class Environment:
                         callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
-                cls = event.__class__
                 if cls is _Callback:
                     if (
                         cb_pool is not None
@@ -1001,11 +1096,11 @@ class Environment:
                         event._value = PENDING
                         timeout_pool.append(event)
         else:
-            # Calendar-queue twin of the loop above (peek/popmin instead
-            # of direct heap indexing); keep the bodies in sync.
+            # Calendar-queue twin of the loop above: the same merge over
+            # peek/popmin, processing each entry through _fire (shared
+            # with step()).
             cal = self._cal
-            timeout_pool = self._timeout_pool
-            cb_pool = self._cb_pool
+            fire = self._fire
             now_u = self._now_u
             now_n = self._now_n
             pop_u = now_u.popleft
@@ -1037,32 +1132,7 @@ class Environment:
                 # would hold the popped event's refcount above the
                 # recycle threshold and disable the free lists.
                 head = None
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-                cls = event.__class__
-                if cls is _Callback:
-                    if (
-                        cb_pool is not None
-                        and len(cb_pool) < _POOL_MAX
-                        and _refcount(event) == 2
-                    ):
-                        event._value = PENDING
-                        cb_pool.append(event)
-                elif cls is Timeout:
-                    if (
-                        timeout_pool is not None
-                        and len(timeout_pool) < _POOL_MAX
-                        and _refcount(event) == 2
-                    ):
-                        event._value = PENDING
-                        timeout_pool.append(event)
+                fire(event)
         if stop_at is not inf:
             self._now = stop_at
         return None

@@ -13,6 +13,17 @@ Usage::
         yield req              # wait until granted
         yield env.timeout(work)
     # released on exiting the with-block
+
+Callback chains visit a station with one call instead::
+
+    cpu.hold(work, done)       # acquire, hold ``work`` seconds, release,
+                               # then done()
+
+A hold is a kernel-owned request: the run loop grants it, re-arms it for
+the service time and releases it itself, so a visit costs no grant
+callback, no timer event and no release call (see ``docs/KERNEL.md``,
+"Kernel-owned holds").  Its events take the same ids in the same order
+as the ``request()`` / ``call_later`` / release relay it replaces.
 """
 
 from __future__ import annotations
@@ -20,14 +31,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappush
-from typing import Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from .core import Environment, Event, PENDING, _POOL_MAX
-
-try:
-    from sys import getrefcount as _refcount
-except ImportError:  # pragma: no cover - non-CPython: pooling disabled
-    _refcount = None
+from . import core as _core
+from .core import Environment, Event, PENDING
 
 __all__ = [
     "Request",
@@ -129,32 +136,51 @@ class Resource:
         """Number of requests granted so far."""
         return self._total_served
 
-    # simlint: hotpath
     def request(self) -> Request:
-        """Create (and enqueue) a new request for this resource.
-
-        Draws from the environment's request free list when pooling is
-        enabled; requests enter the pool via :meth:`free` (fast path
-        only — the generator-path ``release()`` never recycles).
-        """
-        pool = self.env._req_pool
-        if pool:
-            req = pool.pop()
-            # Pool-reset contract: recycled request, fresh callbacks.
-            req.callbacks = []  # simlint: disable=REP104
-            req._value = PENDING
-            req._ok = True
-            req._defused = False
-            req.resource = self
-            req.usage_since = None
-            # Inlined _do_request (Resource.request is never inherited by
-            # subclasses with a different queue discipline).
-            if len(self.users) < self._capacity:
-                self._grant(req)
-            else:
-                self.queue.append(req)
-            return req
+        """Create (and enqueue) a new request for this resource."""
         return Request(self)
+
+    # simlint: hotpath
+    def hold(self, seconds: float, done: Callable[[], None]) -> None:
+        """Acquire the resource, hold it ``seconds``, release it, then
+        call ``done()`` — one station visit of a callback chain.
+
+        The kernel's run loop drives the visit: no event, callback or
+        release call is left to the caller, and the hold is never
+        exposed.
+        """
+        if seconds < 0:
+            raise ValueError(f"negative hold time {seconds}")
+        # One hold per station visit: built field by field and granted
+        # inline (no __init__ or _grant frame) on the common path.
+        hold = _Hold.__new__(_Hold)
+        hold.env = env = self.env
+        hold.callbacks = ()  # type: ignore[assignment]
+        hold._ok = True
+        hold._defused = False
+        hold.resource = self
+        hold.seconds = seconds
+        hold.done = done
+        hold.per = None
+        users = self.users
+        if len(users) < self._capacity and env._san is None:
+            # _grant, unsanitized: straight to the NORMAL now queue.
+            now = env._now
+            if not users:
+                self._busy_since = now
+            users.append(hold)
+            hold.usage_since = now
+            self._total_served += 1
+            hold._value = None
+            env._eid += 1
+            env._now_n.append(hold)
+            return
+        hold._value = PENDING
+        hold.usage_since = None
+        if len(users) < self._capacity:
+            self._grant(hold)
+        else:
+            self.queue.append(hold)
 
     # -- utilization accounting ------------------------------------------
 
@@ -244,39 +270,6 @@ class Resource:
             if nxt._value is PENDING:
                 self._grant(nxt)
                 break
-        # Free-list recycling (kernel v3).  A released request goes back
-        # to the environment pool only when exactly one reference remains
-        # outside this frame (refcount 3 = that reference + the ``req``
-        # parameter + getrefcount's argument) — i.e. the fast-path caller
-        # whose contract is "free, then overwrite the handle".  The
-        # generator path's Release event holds an extra ``.request``
-        # reference, so requests released through ``release()`` are never
-        # recycled; sanitized environments skip recycling so every event
-        # keeps its sanitizer identity.
-        env = self.env
-        if env._san is None:
-            cls = req.__class__
-            if cls is Request:
-                pool = env._req_pool
-            elif cls is PriorityRequest:
-                pool = env._preq_pool
-            else:
-                return
-            if (
-                pool is not None
-                and len(pool) < _POOL_MAX
-                and _refcount(req) == 3
-            ):
-                req._value = PENDING  # poison stale reads
-                pool.append(req)
-
-    #: Release a granted request without allocating a Release event — the
-    #: callback-chain fast path (see ``docs/KERNEL.md``).  Semantics are
-    #: identical to ``request.release()``: the slot is handed to the next
-    #: queued request synchronously, minus the bookkeeping event the
-    #: generator API needs to have something to yield.  The handle may be
-    #: recycled by the call: drop (or overwrite) it immediately after.
-    free = _do_release
 
 
 class PriorityRequest(Request):
@@ -305,30 +298,92 @@ class PriorityRequest(Request):
         resource._do_request(self)
 
 
+class _Hold(Request):
+    """One station visit driven by the kernel (never user-visible).
+
+    Built only by :meth:`Resource.hold` and :meth:`PriorityResource.hold`
+    (field by field, without ``__init__``).  It queues and is granted
+    like any request; the run loop then reads its phase from
+    ``callbacks``: ``()`` while queued or just granted (the loop re-arms
+    it for the hold time and sets ``None``), ``None`` while held (at
+    expiry the loop releases it and calls ``done()``).  Nothing may wait
+    on a hold, so it has no callback list.
+    """
+
+    __slots__ = ("key", "seconds", "done", "per")
+    #: PriorityResource queue key (priority, seq).
+    key: Tuple[int, int]
+    #: Hold time at speed 1; divided by ``per.speed`` at grant when
+    #: ``per`` (a node) is set.
+    seconds: float
+    per: Any
+    #: The continuation, called after the release.
+    done: Callable[[], None]
+
+    # simlint: coldpath
+    def _expire(self, _e: Any) -> None:
+        """End of the hold on a sanitized environment, where the hold
+        time runs on a separate tracked timer (see ``Environment``)."""
+        self.resource._do_release(self)
+        self.done()
+
+
+# The run loop recognises holds by class; core cannot import this module
+# (it imports core), so the class is handed over here.
+_core._Hold = _Hold
+
+
 class PriorityResource(Resource):
     """Resource whose queue is ordered by request priority."""
 
-    # simlint: hotpath
     def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        pool = self.env._preq_pool
-        if pool:
-            req = pool.pop()
-            req.priority = priority
-            seq = req.seq = next(PriorityRequest._seq)
-            req.key = (priority, seq)
-            # Pool-reset contract: recycled request, fresh callbacks.
-            req.callbacks = []  # simlint: disable=REP104
-            req._value = PENDING
-            req._ok = True
-            req._defused = False
-            req.resource = self
-            req.usage_since = None
-            if len(self.users) < self._capacity:
-                self._grant(req)
-            else:
-                self._enqueue(req)
-            return req
         return PriorityRequest(self, priority)
+
+    # simlint: hotpath
+    def hold(  # type: ignore[override]
+        self,
+        seconds: float,
+        done: Callable[[], None],
+        priority: int = 0,
+        per: Any = None,
+    ) -> None:
+        """:meth:`Resource.hold` with a queue ``priority``.
+
+        With ``per``, the visit lasts ``seconds / per.speed``, read when
+        the hold is granted: a speed change (a ``slow`` fault) that lands
+        while the hold is queued stretches it.
+        """
+        if seconds < 0:
+            raise ValueError(f"negative hold time {seconds}")
+        # Keep in sync with Resource.hold (inlined for the same reason).
+        hold = _Hold.__new__(_Hold)
+        hold.env = env = self.env
+        hold.callbacks = ()  # type: ignore[assignment]
+        hold._ok = True
+        hold._defused = False
+        hold.resource = self
+        hold.seconds = seconds
+        hold.done = done
+        hold.per = per
+        hold.key = (priority, next(PriorityRequest._seq))
+        users = self.users
+        if len(users) < self._capacity and env._san is None:
+            now = env._now
+            if not users:
+                self._busy_since = now
+            users.append(hold)
+            hold.usage_since = now
+            self._total_served += 1
+            hold._value = None
+            env._eid += 1
+            env._now_n.append(hold)
+            return
+        hold._value = PENDING
+        hold.usage_since = None
+        if len(users) < self._capacity:
+            self._grant(hold)
+        else:
+            self._enqueue(hold)
 
     def _do_request(self, req: Request) -> None:
         if len(self.users) < self._capacity:

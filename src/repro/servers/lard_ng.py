@@ -263,8 +263,6 @@ class _DispatchQuery:
         "done",
         "failed",
         "decision",
-        "_node",
-        "_req",
     )
 
     def __init__(
@@ -313,21 +311,12 @@ class _DispatchQuery:
 
     def _decide_at_dispatcher(self) -> None:
         if self.policy.decision_cpu_s > 0:
-            node = self._node = self.cluster.node(self.policy._dispatcher)
-            req = self._req = node.cpu.request(CPU_PROMPT)
-            req.callbacks.append(self._cpu_held)
+            node = self.cluster.node(self.policy._dispatcher)
+            node.cpu.hold(
+                self.policy.decision_cpu_s, self._decide, CPU_PROMPT, node
+            )
         else:
             self._decide()
-
-    def _cpu_held(self, _e) -> None:
-        self.cluster.env.call_later(
-            self.policy.decision_cpu_s / self._node.speed, self._cpu_done
-        )
-
-    def _cpu_done(self, _e) -> None:
-        self._node.cpu.free(self._req)
-        self._req = None
-        self._decide()
 
     def _decide(self) -> None:
         policy = self.policy

@@ -239,7 +239,8 @@ class _FastRequest:
     Walks the identical stage sequence — router, NI-in, parse, decide,
     (forward + hand-off), connection open, fetch, reply, NI-out, router —
     with the identical incarnation-aware abort checks at the identical
-    stage boundaries, but drives it with event callbacks and pooled holds
+    stage boundaries, but drives it with callbacks and kernel-owned
+    station holds (:meth:`Resource.hold <repro.des.resources.Resource.hold>`)
     instead of one generator ``Process`` per request.  Per request this
     eliminates the process, its initialize/terminate events, every
     ``Release`` event, and all ``Timeout`` allocations; the scheduler
@@ -281,7 +282,6 @@ class _FastRequest:
         "opened",
         "misses_before",
         "redispatch_left",
-        "_req",
         "_san_tok",
     )
 
@@ -307,7 +307,6 @@ class _FastRequest:
         self.hw = cluster.config.hardware
         self.initial: Optional[int] = None
         self.opened = False
-        self._req = None
         # Sanitized runs track each chain as one in-flight operation so
         # a stalled request (no pending event to leak) is still reported.
         san = self.env._san
@@ -359,42 +358,28 @@ class _FastRequest:
             return
         self.initial_node = node = self.cluster.node(self.initial)
         self.initial_inc = node.incarnation
-        req = self._req = self.cluster.net.router.request()
-        req.callbacks.append(self._route_in_held)
-
-    def _route_in_held(self, _e) -> None:
-        self.env.call_later(
-            self.hw.route_time(self.hw.request_kb), self._route_in_done
+        hw = self.hw
+        self.cluster.net.router.hold(
+            hw.route_time(hw.request_kb), self._route_in_done
         )
 
-    def _route_in_done(self, _e) -> None:
-        self.cluster.net.router.free(self._req)
+    def _route_in_done(self) -> None:
         if self._initial_dead():
             _breaker_failure(self.cluster, self.initial)
             self._abort()
             return
-        req = self._req = self.initial_node.ni_in.request()
-        req.callbacks.append(self._ni_in_held)
-
-    def _ni_in_held(self, _e) -> None:
-        self.env.call_later(
-            self.hw.ni_message_time(self.hw.request_kb), self._ni_in_done
+        hw = self.hw
+        self.initial_node.ni_in.hold(
+            hw.ni_message_time(hw.request_kb), self._ni_in_done
         )
 
-    def _ni_in_done(self, _e) -> None:
-        self.initial_node.ni_in.free(self._req)
-        req = self._req = self.initial_node.cpu.request(CPU_PROMPT)
-        req.callbacks.append(self._parse_held)
-
-    def _parse_held(self, _e) -> None:
-        self.env.call_later(
-            self.hw.parse_time() / self.initial_node.speed, self._parse_done
-        )
+    def _ni_in_done(self) -> None:
+        node = self.initial_node
+        node.cpu.hold(self.hw.parse_time(), self._parse_done, CPU_PROMPT, node)
 
     # -- decide + hand-off -------------------------------------------------
 
-    def _parse_done(self, _e) -> None:
-        self.initial_node.cpu.free(self._req)
+    def _parse_done(self) -> None:
         if self._initial_dead():
             _breaker_failure(self.cluster, self.initial)
             self._abort()
@@ -433,18 +418,13 @@ class _FastRequest:
         if decision.forwarded:
             node = self.initial_node
             node.forwarded += 1
-            req = self._req = node.cpu.request(CPU_PROMPT)
-            req.callbacks.append(self._forward_held)
+            node.cpu.hold(
+                self.hw.forward_time(), self._forward_done, CPU_PROMPT, node
+            )
         else:
             self._at_service()
 
-    def _forward_held(self, _e) -> None:
-        self.env.call_later(
-            self.hw.forward_time() / self.initial_node.speed, self._forward_done
-        )
-
-    def _forward_done(self, _e) -> None:
-        self.initial_node.cpu.free(self._req)
+    def _forward_done(self) -> None:
         net = self.cluster.net
         proto = net.protocol
         if proto is not None and proto.covers("handoff"):
@@ -525,14 +505,9 @@ class _FastRequest:
             # Replicated-disk miss: a local disk read (the partitioned
             # layout falls back to the generator lifecycle entirely).
             self.cluster.dfs.local_reads += 1
-            req = self._req = node.disk.request()
-            req.callbacks.append(self._disk_held)
+            node.disk.hold(self.hw.disk_time(self.size_kb), self._disk_done)
 
-    def _disk_held(self, _e) -> None:
-        self.env.call_later(self.hw.disk_time(self.size_kb), self._disk_done)
-
-    def _disk_done(self, _e) -> None:
-        self.service_node.disk.free(self._req)
+    def _disk_done(self) -> None:
         self.service_node.cache.insert(self.file_id, self.size_bytes)
         self._after_fetch()
 
@@ -542,40 +517,27 @@ class _FastRequest:
             self._close_connection()
             self._abort()
             return
-        req = self._req = self.service_node.cpu.request(CPU_BULK)
-        req.callbacks.append(self._reply_held)
-
-    def _reply_held(self, _e) -> None:
-        self.env.call_later(
-            self.hw.reply_time(self.size_kb) / self.service_node.speed,
-            self._reply_done,
+        node = self.service_node
+        node.cpu.hold(
+            self.hw.reply_time(self.size_kb), self._reply_done, CPU_BULK, node
         )
 
-    def _reply_done(self, _e) -> None:
-        self.service_node.cpu.free(self._req)
+    def _reply_done(self) -> None:
         if self._service_dead():
             _breaker_failure(self.cluster, self.decision.target)
             self._close_connection()
             self._abort()
             return
-        req = self._req = self.service_node.ni_out.request()
-        req.callbacks.append(self._ni_out_held)
-
-    def _ni_out_held(self, _e) -> None:
-        self.env.call_later(
+        self.service_node.ni_out.hold(
             self.hw.ni_reply_time(self.size_kb), self._ni_out_done
         )
 
-    def _ni_out_done(self, _e) -> None:
-        self.service_node.ni_out.free(self._req)
-        req = self._req = self.cluster.net.router.request()
-        req.callbacks.append(self._route_out_held)
+    def _ni_out_done(self) -> None:
+        self.cluster.net.router.hold(
+            self.hw.route_time(self.size_kb), self._route_out_done
+        )
 
-    def _route_out_held(self, _e) -> None:
-        self.env.call_later(self.hw.route_time(self.size_kb), self._route_out_done)
-
-    def _route_out_done(self, _e) -> None:
-        self.cluster.net.router.free(self._req)
+    def _route_out_done(self) -> None:
         self._close_connection()
         _breaker_success(self.cluster, self.decision.target)
         if self._san_tok is not None:

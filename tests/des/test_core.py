@@ -442,3 +442,29 @@ def test_many_processes_complete():
         env.process(proc(env, i))
     env.run()
     assert sorted(done) == list(range(500))
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("driver", ["run", "step"])
+def test_fired_events_are_recycled(scheduler, sanitize, driver):
+    """Every loop recycles events nothing else references: the refcount
+    guards count the loop's own references exactly, so a miscount that
+    silently starves the pools fails here."""
+    env = Environment(scheduler=scheduler, sanitize=sanitize)
+
+    def ticker(env):
+        for _ in range(5):
+            yield env.timeout(1)
+
+    env.process(ticker(env))
+    for i in range(5):
+        env.call_later(i, lambda _e: None, value=i)
+    if driver == "run":
+        env.run()
+    else:
+        while env.peek() < float("inf"):
+            env.step()
+    assert env._timeout_pool and env._cb_pool
+    if sanitize:
+        assert env.sanitizer.recycles > 0

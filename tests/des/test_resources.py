@@ -1,8 +1,18 @@
 """Tests for Resource / PriorityResource / Container."""
 
-import pytest
+from types import SimpleNamespace
 
-from repro.des import Container, Environment, PriorityResource, Resource
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.des import (
+    Container,
+    EmptySchedule,
+    Environment,
+    PriorityResource,
+    Resource,
+)
 
 
 def test_resource_grants_up_to_capacity():
@@ -295,3 +305,135 @@ def test_container_validation():
         tank.put(0)
     with pytest.raises(ValueError):
         tank.get(-1)
+
+
+# -- kernel-owned holds ------------------------------------------------------
+
+#: Times drawn from a small grid so arrivals, grants and expiries tie.
+_TIMES = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
+
+_ENVS = {
+    "heap": lambda: Environment(scheduler="heap", sanitize=False),
+    "calendar": lambda: Environment(scheduler="calendar", sanitize=False),
+    "sanitized": lambda: Environment(scheduler="heap", sanitize=True),
+    # Driven one step() at a time instead of by run()'s loops.
+    "step": lambda: Environment(scheduler="heap", sanitize=False),
+}
+
+
+def _drive(kind, env):
+    if kind != "step":
+        env.run()
+        return
+    while True:
+        try:
+            env.step()
+        except EmptySchedule:
+            return
+
+
+def _reference_hold(env, res, seconds, done, priority=None, per=None):
+    """The relay holds replace: request, a grant callback arming a
+    call_later timer for the (speed-scaled) service time, release at
+    expiry, then the continuation."""
+    req = res.request() if priority is None else res.request(priority)
+
+    def expired(_e):
+        res._do_release(req)
+        done()
+
+    def granted(_e):
+        d = seconds if per is None else seconds / per.speed
+        env.call_later(d, expired)
+
+    req.callbacks.append(granted)
+
+
+def _run_visits(kind, use_hold, capacity, jobs, slowdowns):
+    env = _ENVS[kind]()
+    fifo = Resource(env, capacity=capacity)
+    prio = PriorityResource(env, capacity=capacity)
+    node = SimpleNamespace(speed=1.0)
+    log = []
+
+    def visit(job, stage):
+        if stage == len(jobs[job][1]):
+            return
+        on_prio, priority, seconds = jobs[job][1][stage]
+
+        def done():
+            log.append((env.now, job, stage))
+            visit(job, stage + 1)
+
+        if use_hold:
+            if on_prio:
+                prio.hold(seconds, done, priority, per=node)
+            else:
+                fifo.hold(seconds, done)
+        elif on_prio:
+            _reference_hold(env, prio, seconds, done, priority, per=node)
+        else:
+            _reference_hold(env, fifo, seconds, done)
+
+    for job, (arrival, _) in enumerate(jobs):
+        env.call_later(arrival, lambda _e, job=job: visit(job, 0))
+    for at, factor in slowdowns:
+        env.call_later(at, lambda _e, f=factor: setattr(node, "speed", f))
+    _drive(kind, env)
+    busy = [(r.busy_time(), r.total_served, r.count, r.queue_length)
+            for r in (fifo, prio)]
+    return log, busy, env.event_count
+
+
+@pytest.mark.parametrize("kind", sorted(_ENVS))
+@given(
+    capacity=st.integers(min_value=1, max_value=3),
+    jobs=st.lists(
+        st.tuples(
+            _TIMES,
+            st.lists(
+                st.tuples(st.booleans(), st.integers(0, 2), _TIMES),
+                min_size=1,
+                max_size=3,
+            ),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    slowdowns=st.lists(
+        st.tuples(_TIMES, st.sampled_from([0.5, 1.0, 2.0])), max_size=2
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_holds_match_the_reference_relay(kind, capacity, jobs, slowdowns):
+    """Same completion log, same station accounting, same event count:
+    a hold takes exactly the event ids of the relay it replaces, on
+    every scheduler and run loop and under the sanitizer."""
+    held = _run_visits(kind, True, capacity, jobs, slowdowns)
+    relayed = _run_visits(kind, False, capacity, jobs, slowdowns)
+    assert held == relayed
+    assert len(held[0]) == sum(len(visits) for _, visits in jobs)
+
+
+def test_speed_change_while_queued_stretches_the_hold():
+    env = Environment()
+    cpu = PriorityResource(env, capacity=1)
+    node = SimpleNamespace(speed=1.0)
+    done = []
+    cpu.hold(1.0, lambda: done.append(("first", env.now)), per=node)
+    cpu.hold(1.0, lambda: done.append(("second", env.now)), per=node)
+    env.call_later(0.5, lambda _e: setattr(node, "speed", 0.5))
+    # A change during a hold does not stretch that hold: its time was
+    # read at grant.
+    env.call_later(1.5, lambda _e: setattr(node, "speed", 0.25))
+    env.run()
+    # The second hold was granted at t=1 at speed 0.5: 1.0 / 0.5 = 2 s.
+    assert done == [("first", 1.0), ("second", 3.0)]
+
+
+def test_hold_rejects_negative_time():
+    env = Environment()
+    with pytest.raises(ValueError):
+        Resource(env).hold(-1.0, lambda: None)
+    with pytest.raises(ValueError):
+        PriorityResource(env).hold(-1.0, lambda: None)
